@@ -17,6 +17,11 @@
 //	                [-trace] [-trace-out epochs.trace.json]
 //	                [-trace-ring 64] [-trace-slow 250ms]
 //
+// Each tick is one epoch of core.Driver, the driver core.Pipeline runs
+// in-process: poll, merge digests, infer, seal the trace, write the
+// epoch log. This command adds flag parsing, log lines and alert
+// shipping.
+//
 // Every wire exchange runs under -timeout and survives connection loss:
 // a failed poll backs off (capped exponential, jittered), redials,
 // re-handshakes and retries up to -retries times. Monitors that stay
@@ -36,15 +41,16 @@
 // -obs enables metric collection and serves Prometheus-text
 // GET /metrics plus net/http/pprof on the given address (default off);
 // the jaal_controller_compression_ratio gauge there is the live
-// Fig. 12 overhead-vs-raw view. -epochlog appends one JSON record per
+// Fig. 12 overhead-vs-raw view. -epochlog appends, per epoch, one JSON
+// record per monitor poll (as seen from the controller) and one for the
 // inference round.
 //
 // -trace records one causal timeline per epoch — capture/summarize/
 // encode spans shipped by tracing monitors inside their summary frames,
-// plus the controller's ship/decode/infer/alert spans — retained in a
-// ring served as JSON at GET /trace on the -obs address. -trace-out
-// additionally writes the ring as a Chrome trace-event file on
-// SIGINT/SIGTERM; load it in Perfetto (ui.perfetto.dev) to see the
+// plus the controller's epoch/ship/decode/infer/raw-fetch/alert spans —
+// retained in a ring served as JSON at GET /trace on the -obs address.
+// -trace-out additionally writes the ring as a Chrome trace-event file
+// on SIGINT/SIGTERM; load it in Perfetto (ui.perfetto.dev) to see the
 // per-monitor lanes. Tracing never alters alerts: frames from
 // tracing-off monitors are byte-identical to pre-trace builds, and the
 // disabled path costs one atomic load.
@@ -205,7 +211,7 @@ func main() {
 			adaptCfg.RawByteBudget, adaptCfg.TargetUncertain, adaptCfg.Step)
 	}
 
-	var remotes []*core.RemoteMonitor
+	var sources []core.Source
 	for _, addr := range strings.Split(*monitorList, ",") {
 		addr = strings.TrimSpace(addr)
 		if addr == "" {
@@ -216,11 +222,10 @@ func main() {
 		if err != nil {
 			log.Fatalf("jaal-controller: dial %s: %v", addr, err)
 		}
-		ctrl.RegisterSource(rm.ID(), rm)
-		remotes = append(remotes, rm)
+		sources = append(sources, rm)
 		log.Printf("connected to monitor %d at %s", rm.ID(), addr)
 	}
-	if len(remotes) == 0 {
+	if len(sources) == 0 {
 		log.Fatal("jaal-controller: no monitors")
 	}
 
@@ -232,42 +237,32 @@ func main() {
 		log.Printf("shipping alerts to %s", *alertAddr)
 	}
 
-	poller := &core.Poller{Remotes: remotes}
+	driver := core.NewDriver(ctrl, sources, 0, epochLogger)
 	log.Printf("polling %d monitors every %v (feedback=%v, timeout=%v, retries=%d)",
-		len(remotes), *epoch, *feedback, *timeout, *retries)
+		len(sources), *epoch, *feedback, *timeout, *retries)
 	ticker := time.NewTicker(*epoch)
 	defer ticker.Stop()
 	for range ticker.C {
-		epochN := ctrl.Epoch()
-		pollStart := time.Now()
-		res := poller.Poll(epochN)
+		res, err := driver.RunEpoch()
 		for _, d := range res.Declines {
 			if d.Unreachable() {
 				log.Printf("monitor %d unreachable for epoch %d: %v", d.MonitorID, d.Epoch, d.Err)
 			}
 		}
 		if res.Degraded {
-			log.Printf("epoch %d degraded: proceeding with %d summaries", epochN, len(res.Summaries))
+			log.Printf("epoch %d degraded: proceeding with %d summaries", res.Epoch, len(res.Summaries))
 		}
-		pollDur := time.Since(pollStart)
-		// Volumetric verdicts ride the digest trailers sketching monitors
-		// append to their summary frames: merged and logged here, no raw
-		// fetch involved. Sketchless monitors ship none and this is a
-		// no-op.
-		if rep := ctrl.ObserveDigests(epochN, res.Digests); rep != nil {
+		if rep := res.Volumetric; rep != nil {
 			for _, v := range rep.Verdicts {
 				log.Printf("epoch %d volumetric: %s %s drawing %.1f%% of %d offered packets (~%d flows, shed %.1f%%)",
-					epochN, v.Dimension, ipString(v.Addr), 100*v.Share, rep.Offered, rep.Flows, 100*rep.ShedFraction())
+					res.Epoch, v.Dimension, ipString(v.Addr), 100*v.Share, rep.Offered, rep.Flows, 100*rep.ShedFraction())
 			}
 		}
-		inferStart := time.Now()
-		alerts, err := ctrl.ProcessEpoch(res.Summaries)
 		if err != nil {
 			log.Printf("inference: %v", err)
-			trace.FinishEpoch(epochN, 0)
 			continue
 		}
-		for _, a := range alerts {
+		for _, a := range res.Alerts {
 			log.Printf("%s", a)
 			if alertWriter != nil {
 				if err := alertWriter.Send(a); err != nil {
@@ -275,25 +270,9 @@ func main() {
 				}
 			}
 		}
-		// Seal the epoch's timeline: every span staged for this epoch —
-		// local ship/infer plus the monitors' wire-shipped contexts — is
-		// assembled, the critical path computed, and the trace ringed.
-		trace.FinishEpoch(epochN, len(alerts))
 		st := ctrl.Stats()
-		// Guarded (obshot): the KV literals and boxed values would
-		// allocate every epoch even with logging disabled.
-		if epochLogger != nil {
-			epochLogger.Log("controller", ctrl.Epoch()-1,
-				obs.KV{K: "summaries", V: len(res.Summaries)},
-				obs.KV{K: "declines", V: len(res.Declines)},
-				obs.KV{K: "degraded", V: res.Degraded},
-				obs.KV{K: "alerts", V: len(alerts)},
-				obs.KV{K: "poll_ms", V: pollDur},
-				obs.KV{K: "infer_ms", V: time.Since(inferStart)},
-				obs.KV{K: "overhead_fraction", V: st.OverheadFraction()})
-		}
 		log.Printf("epoch %d: %d summaries, %d packets summarized, overhead %.1f%% of raw",
-			ctrl.Epoch()-1, len(res.Summaries), st.PacketsSummarized, 100*st.OverheadFraction())
+			res.Epoch, len(res.Summaries), st.PacketsSummarized, 100*st.OverheadFraction())
 	}
 }
 

@@ -45,7 +45,7 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 
 	// Spin up the monitor daemons on loopback TCP.
 	monitors := make([]*core.Monitor, numMonitors)
-	remotes := make([]*core.RemoteMonitor, numMonitors)
+	remotes := make([]core.Source, numMonitors)
 	for i := 0; i < numMonitors; i++ {
 		m, err := core.NewMonitor(i, summary.Config{
 			BatchSize: 1000, Rank: 12, Centroids: 200, MinBatch: 500, Seed: int64(i) + 1,
@@ -87,12 +87,11 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range remotes {
-		ctrl.RegisterSource(r.ID(), r)
-	}
+	driver := core.NewDriver(ctrl, remotes, 0, nil)
 
 	// ingestEpoch spreads one epoch of traffic round-robin over the
-	// monitors, then polls and infers — the controller tick of §7.
+	// monitors, then runs the controller tick of §7 through the epoch
+	// driver: poll, infer, fetch raw packets over the wire.
 	ingestEpoch := func(withAttack bool, seed int64) []*inference.Alert {
 		t.Helper()
 		bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(seed))
@@ -111,19 +110,14 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var all []*summary.Summary
-		for _, r := range remotes {
-			ss, err := r.PollSummaries(ctrl.Epoch())
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, ss...)
-		}
-		alerts, err := ctrl.ProcessEpoch(all)
+		res, err := driver.RunEpoch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return alerts
+		if res.Degraded {
+			t.Fatalf("epoch %d degraded: %+v", res.Epoch, res.Declines)
+		}
+		return res.Alerts
 	}
 
 	// Epoch 0: clean. No flood alerts expected.

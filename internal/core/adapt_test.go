@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/adapt"
@@ -14,17 +15,21 @@ import (
 )
 
 // countingSource wraps a monitor's raw source and counts how many times
-// each (epoch, centroid) is pulled.
+// each (epoch, centroid) is pulled. The controller fetches different
+// centroids concurrently, so the counters are guarded.
 type countingSource struct {
 	inner  RawSource
+	mu     sync.Mutex
 	calls  map[[2]uint64]int
 	served int
 }
 
 func (s *countingSource) RawPackets(epoch uint64, centroid int) []packet.Header {
-	s.calls[[2]uint64{epoch, uint64(centroid)}]++
 	hs := s.inner.RawPackets(epoch, centroid)
+	s.mu.Lock()
+	s.calls[[2]uint64{epoch, uint64(centroid)}]++
 	s.served += len(hs)
+	s.mu.Unlock()
 	return hs
 }
 

@@ -34,8 +34,8 @@ import (
 // chaosDeployment is one wire deployment under test.
 type chaosDeployment struct {
 	monitors []*Monitor
-	remotes  []*RemoteMonitor
-	poller   *Poller
+	remotes  []Source
+	driver   *Driver
 	ctrl     *Controller
 	mix      *trafficgen.Mixer
 }
@@ -92,7 +92,7 @@ func startChaosDeployment(t *testing.T, m int, rc RetryConfig, planFor func(mon,
 		t.Fatal(err)
 	}
 	d.ctrl = ctrl
-	d.poller = &Poller{Remotes: d.remotes}
+	d.driver = NewDriver(ctrl, d.remotes, 0, nil)
 
 	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(1))
 	atk, err := trafficgen.NewAttack(rules.AttackDistributedSYNFlood,
@@ -130,19 +130,18 @@ func ingestEpoch(t *testing.T, d *chaosDeployment, perEpoch int) {
 	}
 }
 
-// runChaosEpochs drives the ingest→poll→infer loop and returns the
+// runChaosEpochs drives the ingest→epoch-driver loop and returns the
 // rendered alert stream.
 func runChaosEpochs(t *testing.T, d *chaosDeployment, epochs, perEpoch int) []string {
 	t.Helper()
 	var lines []string
 	for e := 0; e < epochs; e++ {
 		ingestEpoch(t, d, perEpoch)
-		res := d.poller.Poll(d.ctrl.Epoch())
-		alerts, err := d.ctrl.ProcessEpoch(res.Summaries)
+		res, err := d.driver.RunEpoch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range alerts {
+		for _, a := range res.Alerts {
 			lines = append(lines, a.String())
 		}
 	}
@@ -238,14 +237,14 @@ func TestChaosPermanentMonitorLossDegrades(t *testing.T) {
 		defer close(done)
 		for e := 0; e < epochs; e++ {
 			ingestEpoch(t, d, perEpoch)
-			res := d.poller.Poll(d.ctrl.Epoch())
+			res, err := d.driver.RunEpoch()
+			if err != nil {
+				t.Errorf("epoch %d: %v", e, err)
+			}
 			if !res.Degraded {
 				t.Errorf("epoch %d: lost monitor did not degrade the poll", e)
 			}
 			declines = append(declines, res.Declines...)
-			if _, err := d.ctrl.ProcessEpoch(res.Summaries); err != nil {
-				t.Errorf("epoch %d: %v", e, err)
-			}
 		}
 	}()
 	select {

@@ -311,7 +311,7 @@ func TestTransportEndToEnd(t *testing.T) {
 		t.Fatalf("load = %v, want 600", load)
 	}
 
-	ss, err := remote.PollSummaries(0)
+	ss, _, _, err := remote.Poll(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestTransportOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := remote.PollSummaries(0)
+	ss, _, _, err := remote.Poll(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestFinerSummaryOverWire(t *testing.T) {
 	}
 	defer remote.Close()
 
-	ss, err := remote.PollSummaries(0)
+	ss, _, _, err := remote.Poll(0)
 	if err != nil || len(ss) != 1 {
 		t.Fatalf("poll: %d, %v", len(ss), err)
 	}

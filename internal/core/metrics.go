@@ -102,9 +102,9 @@ var (
 
 	// Pipeline epoch stages.
 	hCollectSeconds = obs.NewHistogram("jaal_pipeline_collect_seconds",
-		"wall time of one monitor's summary collection during RunEpoch", obs.DurationBuckets())
+		"wall time of one monitor's summary poll (in-process collect or wire round trip)", obs.DurationBuckets())
 	hRunEpochSeconds = obs.NewHistogram("jaal_pipeline_epoch_seconds",
-		"wall time of one full RunEpoch (collect fan-out + inference)", obs.DurationBuckets())
+		"wall time of one driven epoch (poll fan-out + inference)", obs.DurationBuckets())
 	hRawFetchSeconds = obs.NewHistogram("jaal_feedback_fetch_seconds",
 		"wall time of one feedback-loop raw-packet fetch (memo misses only)", obs.DurationBuckets())
 )

@@ -219,8 +219,8 @@ func (m *Monitor) FinerSummary(epoch uint64, k int) (*summary.Summary, error) {
 
 // SketchDigest snapshots the sketch pass into a wire-ready digest for
 // the given controller epoch, or nil when the sketch is off. Called
-// once per controller poll (alongside CollectSummaries), so the
-// snapshot copies are off the per-packet path.
+// once per controller poll (by Poll), so the snapshot copies are off
+// the per-packet path.
 func (m *Monitor) SketchDigest(epoch uint64) *sketch.Digest {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -234,6 +234,17 @@ func (m *Monitor) SketchDigest(epoch uint64) *sketch.Digest {
 		gSketchShedFraction.Set(float64(d.Shed) / float64(d.Offered))
 	}
 	return d
+}
+
+// Poll answers one controller poll, the Source contract:
+// CollectSummaries, SketchDigest, then AdvanceEpoch — even on a decline
+// or a failed collect, so every poll closes one monitor epoch. The raw
+// packets behind the summaries stay fetchable until the next poll.
+func (m *Monitor) Poll(epoch uint64) (ss []*summary.Summary, pending int, digest *sketch.Digest, err error) {
+	ss, pending, err = m.CollectSummaries()
+	digest = m.SketchDigest(epoch)
+	m.AdvanceEpoch()
+	return ss, pending, digest, err
 }
 
 // AdvanceEpoch rolls the monitor to the next epoch, expiring old raw

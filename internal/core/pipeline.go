@@ -3,16 +3,13 @@ package core
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/flowassign"
 	"repro/internal/inference"
 	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/par"
 	"repro/internal/sketch"
 	"repro/internal/summary"
-	"repro/internal/trace"
 )
 
 // Pipeline is the in-process deployment of Jaal used by experiments and
@@ -23,17 +20,13 @@ type Pipeline struct {
 	Controller *Controller
 	Assigner   *flowassign.Assigner
 
-	// workers bounds the concurrency of the per-monitor fan-out in
-	// RunEpoch (0 = GOMAXPROCS).
-	workers int
+	// driver runs RunEpoch over the monitors.
+	driver *Driver
 	// flowToMonitor caches placements so subsequent packets of a flow
 	// go to the same monitor.
 	flowToMonitor map[packet.FlowKey]int
 	// monitorIndex maps monitor IDs to slice indices.
 	monitorIndex map[int]int
-	// epochLog receives one structured record per epoch per component;
-	// nil disables logging (the EpochLogger is nil-safe).
-	epochLog *obs.EpochLogger
 }
 
 // PipelineConfig assembles a pipeline.
@@ -76,12 +69,11 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		Controller:    ctrl,
-		workers:       cfg.Workers,
 		flowToMonitor: make(map[packet.FlowKey]int),
 		monitorIndex:  make(map[int]int),
-		epochLog:      obs.NewEpochLogger(cfg.EpochLog),
 	}
 	var allIDs []flowassign.MonitorID
+	sources := make([]Source, cfg.NumMonitors)
 	for i := 0; i < cfg.NumMonitors; i++ {
 		mcfg := cfg.Summary
 		mcfg.Seed = cfg.Summary.Seed + int64(i) // decorrelate k-means seeds
@@ -91,9 +83,10 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		}
 		p.Monitors = append(p.Monitors, m)
 		p.monitorIndex[i] = i
-		ctrl.RegisterSource(i, m)
+		sources[i] = m
 		allIDs = append(allIDs, flowassign.MonitorID(i))
 	}
+	p.driver = NewDriver(ctrl, sources, cfg.Workers, obs.NewEpochLogger(cfg.EpochLog))
 	groups := cfg.Groups
 	if groups == nil {
 		groups = flowassign.NewGroupTable()
@@ -142,91 +135,18 @@ func (p *Pipeline) IngestBatch(hs []packet.Header) error {
 	return nil
 }
 
-// RunEpoch polls every monitor for summaries, advances their epochs, and
-// runs one inference round, returning the raised alerts. It is the
-// 2-second controller tick of §7 condensed into one call.
-//
-// The monitor polls — each of which may summarize a flushed batch —
-// fan out across a bounded worker pool (PipelineConfig.Workers), the
-// epoch's dominant compute. The per-monitor results are joined in
-// monitor index order before inference, so the aggregate (and with it
-// every alert and figure) is identical for any worker count.
+// RunEpoch runs one controller tick (§7) through the epoch driver and
+// returns the raised alerts. The monitor polls fan out across
+// PipelineConfig.Workers and join in monitor order, so every worker
+// count yields the same alerts. A failed poll costs only that monitor's
+// summaries: the epoch completes, and RunEpoch returns its alerts with
+// the first failed poll's error (unless inference itself failed).
 func (p *Pipeline) RunEpoch() ([]*inference.Alert, error) {
-	epoch := p.Controller.Epoch()
-	epochSpan := trace.StartSpan(hRunEpochSeconds, trace.StageEpoch, trace.ControllerProc, epoch)
-	// Epoch-log timings force the span timer even with metrics and
-	// tracing both off; they never influence the epoch itself.
-	timed := p.epochLog != nil
-
-	perMon := make([][]*summary.Summary, len(p.Monitors))
-	pending := make([]int, len(p.Monitors))
-	digests := make([]*sketch.Digest, len(p.Monitors))
-	collectDur := make([]time.Duration, len(p.Monitors))
-	errs := make([]error, len(p.Monitors))
-	par.For(len(p.Monitors), p.workers, func(i int) {
-		sp := trace.StartSpanWhen(timed, hCollectSeconds, trace.StageCollect, p.Monitors[i].ID(), epoch)
-		perMon[i], pending[i], errs[i] = p.Monitors[i].CollectSummaries()
-		digests[i] = p.Monitors[i].SketchDigest(epoch)
-		collectDur[i] = sp.End()
-	})
-	total := 0
-	for i, ss := range perMon {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		total += len(ss)
-	}
-	all := make([]*summary.Summary, 0, total)
-	for _, ss := range perMon {
-		all = append(all, ss...)
-	}
-	// In-process deployment: no wire, so the spans each monitor staged
-	// (capture, summarize) join the epoch directly, stamped on the same
-	// clock — no offset normalization needed.
-	for _, m := range p.Monitors {
-		trace.AdoptMonitorSpans(epoch, m.ID())
-	}
-
-	// Merge the epoch's sketch digests (joined in monitor order) into
-	// the volumetric report before inference. The report is a read-only
-	// side channel: alerts are identical with the sketch on or off as
-	// long as nothing was shed.
-	epochDigests := make([]*sketch.Digest, 0, len(digests))
-	for _, d := range digests {
-		if d != nil {
-			epochDigests = append(epochDigests, d)
+	res, err := p.driver.RunEpoch()
+	for _, d := range res.Declines {
+		if d.Unreachable() && err == nil {
+			err = fmt.Errorf("core: monitor %d: %w", d.MonitorID, d.Err)
 		}
 	}
-	p.Controller.ObserveDigests(epoch, epochDigests)
-
-	var inferStart time.Time
-	if timed {
-		inferStart = time.Now() //jaalvet:ignore detrand — stage timing feeds only metrics/epoch log (gated by timed); alerts and stats never depend on it
-	}
-	alerts, err := p.Controller.ProcessEpoch(all)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range p.Monitors {
-		m.AdvanceEpoch()
-	}
-
-	if p.epochLog != nil {
-		for i, m := range p.Monitors {
-			p.epochLog.Log("monitor", epoch,
-				obs.KV{K: "id", V: m.ID()},
-				obs.KV{K: "summaries", V: len(perMon[i])},
-				obs.KV{K: "pending", V: pending[i]},
-				obs.KV{K: "collect_ms", V: collectDur[i]})
-		}
-		st := p.Controller.Stats()
-		p.epochLog.Log("controller", epoch,
-			obs.KV{K: "summaries", V: len(all)},
-			obs.KV{K: "alerts", V: len(alerts)},
-			obs.KV{K: "infer_ms", V: time.Since(inferStart)}, //jaalvet:ignore detrand — inference timing is epoch-log-only output, never an input
-			obs.KV{K: "overhead_fraction", V: st.OverheadFraction()})
-	}
-	epochSpan.End()
-	trace.FinishEpoch(epoch, len(alerts))
-	return alerts, nil
+	return res.Alerts, err
 }

@@ -84,18 +84,12 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 		// collect stage that ships with this poll's trace context.
 		csp := trace.StartMonitorSpanWhen(s.EpochLog != nil, nil,
 			trace.StageCollect, s.Monitor.ID(), epoch)
-		ss, pending, err := s.Monitor.CollectSummaries()
+		ss, pending, digest, err := s.Monitor.Poll(epoch)
 		collectDur := csp.End()
 		if err != nil && !errors.Is(err, summary.ErrBatchTooSmall) {
 			return err
 		}
-		if s.EpochLog != nil {
-			s.EpochLog.Log("monitor", epoch,
-				obs.KV{K: "id", V: s.Monitor.ID()},
-				obs.KV{K: "summaries", V: len(ss)},
-				obs.KV{K: "pending", V: pending},
-				obs.KV{K: "collect_ms", V: collectDur})
-		}
+		logPoll(s.EpochLog, epoch, s.Monitor.ID(), len(ss), pending, collectDur)
 		if len(ss) == 0 {
 			return wire.WriteFrame(conn, wire.MsgSummaryDecline,
 				wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending))
@@ -118,8 +112,8 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 		// skip it — then the trace context, which claims everything to the
 		// end of the payload. Both are absent when their feature is off,
 		// keeping the frame byte-identical to the plain wire format.
-		if d := s.Monitor.SketchDigest(epoch); d != nil {
-			payloads[0] = d.AppendWire(payloads[0])
+		if digest != nil {
+			payloads[0] = digest.AppendWire(payloads[0])
 		}
 		if ctx := trace.TakeContext(s.Monitor.ID()); ctx != nil {
 			payloads[0] = ctx.AppendWire(payloads[0])
@@ -131,12 +125,8 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 				return err
 			}
 		}
-		if err := wire.WriteFrame(conn, wire.MsgSummaryDecline,
-			wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending)); err != nil {
-			return err
-		}
-		s.Monitor.AdvanceEpoch()
-		return nil
+		return wire.WriteFrame(conn, wire.MsgSummaryDecline,
+			wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending))
 
 	case wire.MsgFinerRequest:
 		epoch, k, err := wire.DecodeFinerRequest(msg.Payload)
@@ -193,7 +183,8 @@ type RetryConfig struct {
 	// Jitter, when non-nil, adds a uniformly drawn 0–50 % of each
 	// backoff. It must be a seeded private source so same-seed chaos
 	// runs replay the same schedule; the transport never touches the
-	// global RNG.
+	// global RNG. Handles that share it may back off concurrently, so
+	// draws from it are serialized.
 	Jitter *rand.Rand
 	// Sleep implements the backoff wait; nil selects time.Sleep.
 	// Tests inject a recorder to assert the schedule without paying it.
@@ -221,10 +212,14 @@ func (rc RetryConfig) backoff(n int) time.Duration {
 		d = rc.BackoffMax
 	}
 	if rc.Jitter != nil && d > 0 {
+		jitterMu.Lock()
 		d += time.Duration(rc.Jitter.Int63n(int64(d)/2 + 1))
+		jitterMu.Unlock()
 	}
 	return d
 }
+
+var jitterMu sync.Mutex // guards RetryConfig.Jitter draws (*rand.Rand is not goroutine-safe)
 
 // sleep waits for d via the configured sleeper.
 func (rc RetryConfig) sleep(d time.Duration) {
@@ -239,8 +234,8 @@ func (rc RetryConfig) sleep(d time.Duration) {
 }
 
 // RemoteMonitor is the controller-side handle to a monitor reached over
-// the wire protocol. It implements RawSource so the feedback loop can
-// fetch raw packets transparently.
+// the wire protocol. It implements Source, so the epoch driver polls it
+// and the feedback loop fetches its raw packets transparently.
 //
 // With a DialFunc and RetryConfig (DialMonitorRetry), every exchange
 // runs under a deadline and survives connection loss: a failed
@@ -503,13 +498,6 @@ func decodeSummaryPayload(p []byte) (*summary.Summary, *sketch.Digest, *trace.Co
 		return nil, nil, nil, fmt.Errorf("core: summary trace context: %w", err)
 	}
 	return s, dg, ctx, nil
-}
-
-// PollSummaries asks the monitor for its queued summaries for the given
-// epoch. A declining monitor yields an empty slice.
-func (r *RemoteMonitor) PollSummaries(epoch uint64) ([]*summary.Summary, error) {
-	ss, _, _, err := r.Poll(epoch)
-	return ss, err
 }
 
 // FinerSummary asks the remote monitor to re-summarize a retained batch

@@ -36,9 +36,12 @@ go run ./cmd/jaal-vet -summary ./...
 # signal when instrumentation touches a hot path. The trace golden test
 # locks the epoch-trace topology (which spans each stage emits, per
 # process and monitor, timestamps scrubbed) against
-# internal/core/testdata/trace_topology.golden; regenerate with
+# internal/core/testdata/trace_topology.golden (the wire deployment's
+# against trace_topology_wire.golden); regenerate with
 # -update-trace-golden after an intentional instrumentation change.
-go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|TestPipelineTraceDeterminism|TestPipelineTraceGolden' ./internal/core/
+# TestDeploymentParity holds the in-process and loopback-TCP deployments
+# of the epoch driver to identical alerts and accounting.
+go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|TestPipelineTraceDeterminism|TestPipelineTraceGolden|TestWireTraceGolden|TestDeploymentParity' ./internal/core/
 
 # Detection accuracy gate: the scoreboard report must be byte-identical
 # across worker counts, and the quick-profile scores must stay within
@@ -48,3 +51,10 @@ go test -race -run 'TestPipelineParallelDeterminism|TestPipelineObsDeterminism|T
 go test -race -run 'TestScoreboardWorkerDeterminism|TestScoreboardGolden' ./internal/scenario/
 
 go test -race ./...
+
+# The end-to-end benchmark harness is a nested module (repro/perfbench,
+# replace repro => ../), so the root `go build ./...` never enters it: a
+# core API change could break the harness while everything above stays
+# green. Vet and test it here (its tests run every workload briefly,
+# traced and untraced; ~30 s on a 2-core box).
+(cd perfbench && go vet ./... && go test ./...)
