@@ -16,14 +16,14 @@
 // timings and queue depths.
 //
 // -trace stamps capture/summarize/collect/encode spans on each batch
-// and ships them to the controller inside the summary frames (a
-// version-tolerant trailer old controllers ignore), where they join the
-// controller's per-epoch timeline at /trace. Off by default; off means
-// wire frames identical to pre-trace builds.
+// and ships them to the controller in an extension record on the frame
+// that ends each poll, where they join the controller's per-epoch
+// timeline at /trace. Off by default; off means wire frames identical
+// to pre-trace builds.
 //
 // -sketch runs the count-min/HLL ingest pass and ships a compact
-// volumetric digest with each epoch's first summary frame (another
-// version-tolerant trailer old controllers skip). -shed-watermark
+// volumetric digest in another extension record on that frame, every
+// epoch, declines included. -shed-watermark
 // additionally arms load shedding: past that many admitted packets per
 // epoch only heavy-hitter traffic and a 1-in-8 mice subsample reach the
 // batch slab, and past twice the watermark nothing does. Setting

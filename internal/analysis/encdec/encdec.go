@@ -1,8 +1,9 @@
 // Package encdec checks wire-format symmetry: for every encoder/decoder
-// pair in a codec package (wire, summary, packet, trace), the byte-level
-// writes of the encoder must mirror the byte-level reads of the decoder
-// in offset, width and count — including fields behind version or kind
-// gates, which must be gated by the same condition on both sides.
+// pair in a codec package (wire, summary, packet, trace, sketch), the
+// byte-level writes of the encoder must mirror the byte-level reads of
+// the decoder in offset, width and count — including fields behind
+// version or kind gates, which must be gated by the same condition on
+// both sides.
 //
 // Pairing is by name stem: EncodeX↔DecodeX, AppendX↔ParseX,
 // MarshalX↔UnmarshalX, WriteX↔ReadX (prefixes mix freely — an AppendX
@@ -51,6 +52,7 @@ var codecPackages = map[string]bool{
 	"summary": true,
 	"packet":  true,
 	"trace":   true,
+	"sketch":  true,
 }
 
 var encoderPrefixes = []string{"Encode", "Append", "Marshal", "Write"}

@@ -57,7 +57,6 @@ type Controller struct {
 	mu      sync.Mutex
 	sources map[int]RawSource
 	epoch   uint64
-	alerts  []*inference.Alert
 	// stats accumulate communication accounting across epochs.
 	stats Stats
 	// lastVolumetric is the most recent merged sketch-digest report
@@ -445,7 +444,6 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	}
 
 	c.mu.Lock()
-	c.alerts = append(c.alerts, alerts...)
 	c.stats.AlertsRaised += len(alerts)
 	c.stats.RawPacketsFetched += fet.bytes
 	stats := c.stats
@@ -455,15 +453,6 @@ func (c *Controller) ProcessEpoch(summaries []*summary.Summary) ([]*inference.Al
 	cFeedbackPulls.Add(int64(fet.bytes))
 	gCompression.Set(stats.OverheadFraction())
 	return alerts, nil
-}
-
-// Alerts returns all alerts raised so far.
-func (c *Controller) Alerts() []*inference.Alert {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*inference.Alert, len(c.alerts))
-	copy(out, c.alerts)
-	return out
 }
 
 // Stats returns a copy of the accumulated accounting.

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -180,6 +181,100 @@ func TestWireTraceGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("wire trace topology drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestDecliningMonitorParity pins the side records of a monitor that
+// declines (fewer than MinBatch packets buffered) to the in-process
+// behaviour: its sketch digest reaches the controller in the same
+// epoch over the wire as in-process, so the merged digests and the
+// volumetric report agree, and its collect span is sealed into the
+// epoch that polled it.
+func TestDecliningMonitorParity(t *testing.T) {
+	withEpochTracing(t)
+	flood := floodPackets(t, 53, 1040)
+	type epochOut struct {
+		digests int
+		offered uint64
+		vol     *VolumetricReport
+	}
+	run := func(wired bool) []epochOut {
+		trace.Reset()
+		p, err := NewPipeline(PipelineConfig{
+			NumMonitors: 2,
+			Summary:     smallSummaryConfig(),
+			Sketch:      sketch.Config{Enabled: true},
+			Controller:  ControllerConfig{Env: testEnv(), Questions: testQuestions(t, 1040)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := p.driver
+		if wired {
+			d = NewDriver(p.Controller, serveLoopback(t, p.Monitors), 0, nil)
+		}
+		var out []epochOut
+		for epoch := 0; epoch < 2; epoch++ {
+			// Monitor 0 summarizes; monitor 1 stays below MinBatch.
+			for i, lp := range flood {
+				if err := p.Monitors[min(i/1000, 1)].Ingest(lp.Header); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := d.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Declines) != 1 || res.Declines[0].MonitorID != 1 || res.Declines[0].Err != nil {
+				t.Fatalf("epoch %d: declines %+v, want monitor 1's protocol decline", epoch, res.Declines)
+			}
+			o := epochOut{digests: len(res.Digests), vol: res.Volumetric}
+			for _, dg := range res.Digests {
+				o.offered += dg.Offered
+			}
+			out = append(out, o)
+		}
+
+		// The decliner's collect span, wherever the deployment times it,
+		// belongs to the epoch that polled it.
+		proc := int32(trace.ControllerProc)
+		if wired {
+			proc = 1
+		}
+		traces := trace.Snapshot(0)
+		if len(traces) != 2 {
+			t.Fatalf("wired=%v: sealed %d epoch traces, want 2", wired, len(traces))
+		}
+		for _, tr := range traces {
+			var seqs []uint64
+			for _, sp := range tr.Spans {
+				if sp.Proc == proc && sp.Monitor == 1 && sp.Stage == trace.StageCollect {
+					seqs = append(seqs, sp.Seq)
+				}
+			}
+			if len(seqs) != 1 || seqs[0] != tr.Epoch {
+				t.Errorf("wired=%v: epoch %d holds the decliner's collect spans for polls %v, want [%d]",
+					wired, tr.Epoch, seqs, tr.Epoch)
+			}
+		}
+		return out
+	}
+	local, wired := run(false), run(true)
+	for e := range local {
+		l, w := local[e], wired[e]
+		if l.digests != 2 || l.offered != 1040 {
+			t.Fatalf("epoch %d in-process: %d digests offering %d packets, want 2 and 1040", e, l.digests, l.offered)
+		}
+		if w.digests != l.digests || w.offered != l.offered {
+			t.Errorf("epoch %d: wire merged %d digests offering %d packets, in-process %d and %d",
+				e, w.digests, w.offered, l.digests, l.offered)
+		}
+		if l.vol == nil || len(l.vol.Verdicts) == 0 {
+			t.Fatalf("epoch %d in-process: no volumetric verdict for the flood: %+v", e, l.vol)
+		}
+		if !reflect.DeepEqual(w.vol, l.vol) {
+			t.Errorf("epoch %d: volumetric reports differ:\n wire       %+v\n in-process %+v", e, w.vol, l.vol)
+		}
 	}
 }
 

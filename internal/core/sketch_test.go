@@ -1,13 +1,20 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/rules"
 	"repro/internal/sketch"
+	"repro/internal/summary"
+	"repro/internal/trace"
 	"repro/internal/trafficgen"
+	"repro/internal/wire"
 )
 
 // sketchPipeline builds a small two-monitor pipeline with the given
@@ -123,8 +130,8 @@ func TestPipelineShedsAndIssuesVolumetricVerdicts(t *testing.T) {
 	}
 }
 
-// The digest crosses the wire as a trailer on the first summary frame
-// and survives alongside the trace-context trailer machinery.
+// The digest crosses the wire as an extension record on the decline
+// frame that ends every poll, declines included.
 func TestSketchDigestOverWire(t *testing.T) {
 	m, err := NewMonitorSketch(7, smallSummaryConfig(),
 		sketch.Config{Enabled: true, ShedWatermark: 400})
@@ -173,13 +180,14 @@ func TestSketchDigestOverWire(t *testing.T) {
 	}
 
 	// The next poll follows AdvanceEpoch: sketches reset, nothing
-	// buffered → decline, and a decline carries no digest.
+	// buffered → decline, which still carries the reset digest, as
+	// Monitor.Poll returns it in-process.
 	ss, _, dg, err = remote.Poll(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ss) != 0 || dg != nil {
-		t.Fatalf("post-reset poll: %d summaries, digest %v; want none", len(ss), dg)
+	if len(ss) != 0 || dg == nil || dg.MonitorID != 7 || dg.Epoch != 1 || dg.Offered != 0 {
+		t.Fatalf("post-reset poll: %d summaries, digest %+v; want none and a reset digest", len(ss), dg)
 	}
 
 	remote.Close()
@@ -188,34 +196,117 @@ func TestSketchDigestOverWire(t *testing.T) {
 	}
 }
 
-// A plain monitor (sketch off) ships no digest trailer: its frames are
-// byte-identical to the pre-sketch wire format.
+// recordConn tees everything written to a connection.
+type recordConn struct {
+	net.Conn
+	mu  sync.Mutex
+	out bytes.Buffer
+}
+
+func (c *recordConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.out.Write(b)
+	c.mu.Unlock()
+	return c.Conn.Write(b)
+}
+
+// A plain monitor (sketch and tracing off) ships no extension block:
+// every frame is byte-identical to the plain wire format. Each summary
+// payload is exactly the Marshal bytes of the summary an identical
+// in-process monitor returns, and each decline is the 16 fixed bytes.
 func TestNoDigestTrailerWhenSketchOff(t *testing.T) {
-	m, err := NewMonitor(3, smallSummaryConfig())
-	if err != nil {
-		t.Fatal(err)
+	if trace.Enabled() {
+		t.Fatal("tracing must be off for the features-off wire format")
 	}
-	bg := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(24))
-	if err := m.IngestBatch(bg.Batch(600)); err != nil {
-		t.Fatal(err)
+	newMon := func() *Monitor {
+		m, err := NewMonitor(3, smallSummaryConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m, twin := newMon(), newMon()
+	batch := trafficgen.NewBackground(trafficgen.DefaultBackgroundConfig(24)).Batch(600)
+	for _, mon := range []*Monitor{m, twin} {
+		if err := mon.IngestBatch(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	client, server := net.Pipe()
-	srv := &MonitorServer{Monitor: m}
-	go srv.Serve(server)
+	rec := &recordConn{Conn: server}
+	go (&MonitorServer{Monitor: m}).Serve(rec)
 	remote, err := DialMonitor(client)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	ss, _, dg, err := remote.Poll(0)
-	if err != nil {
-		t.Fatal(err)
+
+	// Poll 0 ships summaries; poll 1 finds nothing buffered and declines.
+	var want [][]byte
+	var wantDeclines [][]byte
+	for epoch := uint64(0); epoch < 2; epoch++ {
+		ss, pending, dg, err := remote.Poll(epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dg != nil {
+			t.Fatalf("sketchless monitor shipped a digest: %+v", dg)
+		}
+		twinSS, twinPending, _, err := twin.Poll(epoch)
+		if err != nil && !errors.Is(err, summary.ErrBatchTooSmall) {
+			t.Fatal(err)
+		}
+		if len(ss) != len(twinSS) || pending != twinPending {
+			t.Fatalf("poll %d: wire %d summaries/%d pending, in-process %d/%d",
+				epoch, len(ss), pending, len(twinSS), twinPending)
+		}
+		for _, s := range twinSS {
+			data, err := s.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, data)
+		}
+		wantDeclines = append(wantDeclines, wire.EncodeSummaryDecline(3, epoch, pending))
 	}
-	if len(ss) == 0 {
-		t.Fatal("poll returned no summaries")
+	if len(want) == 0 {
+		t.Fatal("no poll returned summaries; the summary frames went unchecked")
 	}
-	if dg != nil {
-		t.Fatalf("sketchless monitor shipped a digest: %+v", dg)
+
+	rec.mu.Lock()
+	out := bytes.NewReader(rec.out.Bytes())
+	rec.mu.Unlock()
+	var summaries, declines [][]byte
+	for {
+		msg, err := wire.ReadFrame(out)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch msg.Type {
+		case wire.MsgSummary:
+			summaries = append(summaries, msg.Payload)
+		case wire.MsgSummaryDecline:
+			declines = append(declines, msg.Payload)
+		}
+	}
+	if len(summaries) != len(want) {
+		t.Fatalf("server wrote %d summary frames, want %d", len(summaries), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(summaries[i], want[i]) {
+			t.Fatalf("summary frame %d is not plain Marshal bytes: %d bytes, want %d", i, len(summaries[i]), len(want[i]))
+		}
+	}
+	if len(declines) != len(wantDeclines) {
+		t.Fatalf("server wrote %d decline frames, want %d", len(declines), len(wantDeclines))
+	}
+	for i := range wantDeclines {
+		if len(declines[i]) != 16 || !bytes.Equal(declines[i], wantDeclines[i]) {
+			t.Fatalf("decline frame %d = %x, want the 16 bytes %x", i, declines[i], wantDeclines[i])
+		}
 	}
 }
 

@@ -90,43 +90,34 @@ func (s *MonitorServer) handle(conn net.Conn, msg *wire.Message) error {
 			return err
 		}
 		logPoll(s.EpochLog, epoch, s.Monitor.ID(), len(ss), pending, collectDur)
-		if len(ss) == 0 {
-			return wire.WriteFrame(conn, wire.MsgSummaryDecline,
-				wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending))
-		}
-		// Marshal everything first (timed as the encode stage), then
-		// drain the staged spans into a trace-context block appended to
-		// the first summary payload — so the context includes the encode
-		// span itself, and tracing-off frames are byte-identical to the
-		// pre-trace wire format.
-		esp := trace.StartMonitorSpan(nil, trace.StageEncode, s.Monitor.ID(), epoch)
-		payloads := make([][]byte, len(ss))
-		for i, sum := range ss {
-			if payloads[i], err = sum.Marshal(); err != nil {
-				return err
+		if len(ss) > 0 { // marshal (timed as the encode stage), then ship
+			esp := trace.StartMonitorSpan(nil, trace.StageEncode, s.Monitor.ID(), epoch)
+			payloads := make([][]byte, len(ss))
+			for i, sum := range ss {
+				if payloads[i], err = sum.Marshal(); err != nil {
+					return err
+				}
+			}
+			esp.End()
+			for _, data := range payloads {
+				if err := wire.WriteFrame(conn, wire.MsgSummary, data); err != nil {
+					return err
+				}
 			}
 		}
-		esp.End()
-		// Trailers ride the first summary payload. The sketch digest goes
-		// first — its block carries an explicit length so a decoder can
-		// skip it — then the trace context, which claims everything to the
-		// end of the payload. Both are absent when their feature is off,
-		// keeping the frame byte-identical to the plain wire format.
+		// The decline frame ends every poll and carries what the monitor
+		// ships beside its summaries; the trace context is taken last, so
+		// it holds the encode span and its send time is stamped just
+		// before the frame.
+		var exts []wire.Ext
 		if digest != nil {
-			payloads[0] = digest.AppendWire(payloads[0])
+			exts = append(exts, wire.Ext{Tag: wire.ExtDigest, Version: wire.ExtVersion, Body: digest.AppendWire(nil)})
 		}
 		if ctx := trace.TakeContext(s.Monitor.ID()); ctx != nil {
-			payloads[0] = ctx.AppendWire(payloads[0])
-		}
-		// Ship every queued summary, then an empty decline as the
-		// end-of-poll marker.
-		for _, data := range payloads {
-			if err := wire.WriteFrame(conn, wire.MsgSummary, data); err != nil {
-				return err
-			}
+			exts = append(exts, wire.Ext{Tag: wire.ExtTrace, Version: wire.ExtVersion, Body: ctx.AppendWire(nil)})
 		}
 		return wire.WriteFrame(conn, wire.MsgSummaryDecline,
-			wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending))
+			wire.EncodeSummaryDecline(s.Monitor.ID(), epoch, pending, exts...))
 
 	case wire.MsgFinerRequest:
 		epoch, k, err := wire.DecodeFinerRequest(msg.Payload)
@@ -420,11 +411,11 @@ func (r *RemoteMonitor) QueryLoad() (float64, error) {
 }
 
 // Poll asks the monitor for its queued summaries for the given epoch.
-// A declining monitor yields an empty slice; pending is the monitor's
-// reported count of buffered-but-unsummarized packets, from the
-// decline frame that terminates every poll. digest is the monitor's
-// sketch digest when its sketch pass is on (nil otherwise); it rides
-// the first summary frame, so a fully declining poll carries none.
+// A declining monitor yields an empty slice. The decline frame that
+// ends every poll carries pending, the monitor's count of
+// buffered-but-unsummarized packets, and the extension records: the
+// sketch digest when the monitor's sketch pass is on (nil otherwise)
+// and the monitor's trace context when tracing.
 func (r *RemoteMonitor) Poll(epoch uint64) (ss []*summary.Summary, pending int, digest *sketch.Digest, err error) {
 	err = r.exchange(func(conn net.Conn) error {
 		ss, pending, digest = nil, 0, nil // restart cleanly on retry
@@ -438,23 +429,18 @@ func (r *RemoteMonitor) Poll(epoch uint64) (ss []*summary.Summary, pending int, 
 			}
 			switch msg.Type {
 			case wire.MsgSummary:
-				// Stamp receipt before decoding: the monitor's clock
-				// offset is computed against this instant, so decode time
-				// must not pollute it.
-				recv := trace.NowNano()
 				dsp := trace.StartSpan(nil, trace.StageDecode, r.id, epoch)
-				s, dg, ctx, err := decodeSummaryPayload(msg.Payload)
+				s, err := summary.Unmarshal(msg.Payload)
 				dsp.End()
 				if err != nil {
 					return err
 				}
-				trace.AddRemoteContext(epoch, ctx, recv)
-				if dg != nil {
-					digest = dg
-				}
 				ss = append(ss, s)
 			case wire.MsgSummaryDecline:
-				_, _, pending, err = wire.DecodeSummaryDecline(msg.Payload)
+				// Stamp receipt before decoding: the monitor's clock
+				// offset is computed against this instant.
+				recv := trace.NowNano()
+				pending, digest, err = decodeDecline(msg.Payload, epoch, recv)
 				return err
 			default:
 				return fmt.Errorf("core: expected summary, got %v", msg.Type)
@@ -467,37 +453,33 @@ func (r *RemoteMonitor) Poll(epoch uint64) (ss []*summary.Summary, pending int, 
 	return ss, pending, digest, nil
 }
 
-// decodeSummaryPayload splits a MsgSummary payload into the encoded
-// summary and its optional trailers: a sketch digest (length-delimited,
-// first) and a trace-context block (last; see trace.Context). Plain
-// payloads — from old peers or feature-off monitors — yield nils.
-func decodeSummaryPayload(p []byte) (*summary.Summary, *sketch.Digest, *trace.Context, error) {
-	n, err := summary.EncodedLen(p)
-	if err != nil {
-		return nil, nil, nil, err
+// decodeDecline reads the decline frame that ends a poll: the pending
+// count, the sketch digest, and the trace context, which joins epoch's
+// assembly shifted by recvUnixNano. Records of unknown tag or version
+// are skipped.
+func decodeDecline(p []byte, epoch uint64, recvUnixNano int64) (pending int, digest *sketch.Digest, err error) {
+	if _, _, pending, err = wire.DecodeSummaryDecline(p); err != nil {
+		return 0, nil, err
 	}
-	s, err := summary.Unmarshal(p[:n])
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rest := p[n:]
-	var dg *sketch.Digest
-	if sketch.IsDigest(rest) {
-		var consumed int
-		dg, consumed, err = sketch.DecodeDigest(rest)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: summary sketch digest: %w", err)
+	exts, _ := wire.DeclineExts(p) // well formed: DecodeSummaryDecline checked it
+	for _, x := range exts {
+		if x.Version != wire.ExtVersion {
+			continue
 		}
-		rest = rest[consumed:]
+		switch x.Tag {
+		case wire.ExtDigest:
+			if digest, err = sketch.DecodeDigest(x.Body); err != nil {
+				return 0, nil, fmt.Errorf("core: decline sketch digest: %w", err)
+			}
+		case wire.ExtTrace:
+			ctx, err := trace.DecodeContext(x.Body)
+			if err != nil {
+				return 0, nil, fmt.Errorf("core: decline trace context: %w", err)
+			}
+			trace.AddRemoteContext(epoch, ctx, recvUnixNano)
+		}
 	}
-	if len(rest) == 0 {
-		return s, dg, nil, nil
-	}
-	ctx, err := trace.DecodeContext(rest)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: summary trace context: %w", err)
-	}
-	return s, dg, ctx, nil
+	return pending, digest, nil
 }
 
 // FinerSummary asks the remote monitor to re-summarize a retained batch

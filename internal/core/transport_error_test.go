@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sketch"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -142,5 +144,44 @@ func TestRemoteRawPacketsTruncatedBatch(t *testing.T) {
 	defer rm.Close()
 	if hs := rm.RawPackets(1, 2); hs != nil {
 		t.Fatalf("truncated raw batch yielded %d headers, want nil", len(hs))
+	}
+}
+
+// The decline reader skips records of unknown tag or version by their
+// length, so a newer monitor's records never fail an older controller's
+// poll, and rejects a known record whose body is corrupt.
+func TestDeclineUnknownExtsSkipped(t *testing.T) {
+	withEpochTracing(t)
+	dg := sketch.Digest{MonitorID: 4, Epoch: 6, Offered: 900, Kept: 900}
+	ctx := trace.Context{MonitorID: 4, SentUnixNano: 10, Spans: []trace.SpanRecord{
+		{Stage: trace.StageCollect, Proc: 4, Monitor: 4, Seq: 6, Dur: 5},
+	}}
+	future := []wire.Ext{
+		{Tag: wire.ExtDigest, Version: 99, Body: []byte("a future digest layout")},
+		{Tag: wire.ExtTrace, Version: 99, Body: []byte("a future context layout")},
+		{Tag: 0xEE, Version: wire.ExtVersion, Body: []byte("a record with no tag here")},
+	}
+	pending, got, err := decodeDecline(wire.EncodeSummaryDecline(4, 6, 30, future...), 6, 0)
+	if err != nil || pending != 30 || got != nil {
+		t.Fatalf("unknown records only: pending %d, digest %+v, err %v; want 30, none, nil", pending, got, err)
+	}
+	if tr := trace.FinishEpoch(6, 0); tr != nil {
+		t.Fatalf("an unknown-version trace record added spans: %+v", tr.Spans)
+	}
+
+	known := append(future,
+		wire.Ext{Tag: wire.ExtDigest, Version: wire.ExtVersion, Body: dg.AppendWire(nil)},
+		wire.Ext{Tag: wire.ExtTrace, Version: wire.ExtVersion, Body: ctx.AppendWire(nil)})
+	pending, got, err = decodeDecline(wire.EncodeSummaryDecline(4, 6, 30, known...), 6, 0)
+	if err != nil || pending != 30 || got == nil || got.Offered != 900 {
+		t.Fatalf("records after unknown ones: pending %d, digest %+v, err %v", pending, got, err)
+	}
+	if tr := trace.FinishEpoch(6, 0); tr == nil || len(tr.Spans) != 1 {
+		t.Fatalf("the trace record after unknown ones did not join the epoch: %+v", tr)
+	}
+
+	corrupt := wire.Ext{Tag: wire.ExtDigest, Version: wire.ExtVersion, Body: []byte{1, 2, 3}}
+	if _, _, err := decodeDecline(wire.EncodeSummaryDecline(4, 6, 30, corrupt), 6, 0); err == nil {
+		t.Fatal("a corrupt digest record must fail the poll")
 	}
 }

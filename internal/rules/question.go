@@ -89,6 +89,10 @@ func (q *Question) ActiveFields() []packet.FieldIndex {
 func (q *Question) Distance(x []float64) float64 {
 	var sum float64
 	var n int
+	// One bounds check here, not one per field: this is the controller's
+	// hottest loop, and without it the loop's speed swings with where the
+	// linker happens to place it.
+	x = x[:len(q.Vector)]
 	for j, qj := range q.Vector {
 		if qj == Irrelevant {
 			continue

@@ -5,19 +5,8 @@ import (
 	"fmt"
 )
 
-// The digest rides as a version-tolerant trailer after the summary
-// bytes in a MsgSummary payload (same side-channel pattern as the trace
-// trailer): magic "JS", a version byte, a flags byte, then a u32 block
-// length covering the whole block. Unlike the trace trailer, the block
-// length makes the digest skippable, so it must sit BEFORE the trace
-// trailer (which claims everything to the end of the payload).
-const (
-	digestMagic0  = 'J'
-	digestMagic1  = 'S'
-	digestVersion = 1
-	// digestMaxHitters bounds the per-dimension heavy-hitter list.
-	digestMaxHitters = 255
-)
+// digestMaxHitters bounds the per-dimension heavy-hitter list.
+const digestMaxHitters = 255
 
 // HeavyHitter is one heavy key (an IPv4 address in the ingest digests)
 // and its count-min estimate.
@@ -58,21 +47,13 @@ func (d *Digest) FlowEstimate() uint64 {
 	return d.Flows.Estimate()
 }
 
-// IsDigest reports whether p begins with a sketch-digest trailer.
-func IsDigest(p []byte) bool {
-	return len(p) >= 2 && p[0] == digestMagic0 && p[1] == digestMagic1
-}
-
-// AppendWire serializes the digest block: magic "JS", version, flags,
-// u32 block length, u32 monitor ID, u64 epoch, u64 offered, u64 shed,
-// u64 kept, u16 register count + registers, then the two heavy-hitter
-// lists as u8 count + (u32 key, u64 estimate) pairs.
+// AppendWire serializes the digest: u32 monitor ID, u64 epoch, u64
+// offered, u64 shed, u64 kept, u16 register count + registers, then the
+// two heavy-hitter lists as u8 count + (u32 key, u64 estimate) pairs.
+// It is the body of a wire.ExtDigest record, which delimits it.
 //
 //jaal:pair DecodeDigest
 func (d *Digest) AppendWire(dst []byte) []byte {
-	start := len(dst)
-	dst = append(dst, digestMagic0, digestMagic1, digestVersion, 0)
-	dst = binary.BigEndian.AppendUint32(dst, 0) // block length, patched below
 	dst = binary.BigEndian.AppendUint32(dst, uint32(d.MonitorID))
 	dst = binary.BigEndian.AppendUint64(dst, d.Epoch)
 	dst = binary.BigEndian.AppendUint64(dst, d.Offered)
@@ -94,33 +75,15 @@ func (d *Digest) AppendWire(dst []byte) []byte {
 			dst = binary.BigEndian.AppendUint64(dst, h.Count)
 		}
 	}
-	binary.BigEndian.PutUint32(dst[start+4:], uint32(len(dst)-start))
 	return dst
 }
 
-// DecodeDigest parses a digest block from the front of p and returns
-// the digest plus the number of bytes consumed. A block with an unknown
-// version is skipped: (nil, blockLen, nil), so readers stay compatible
-// with future senders. Anything malformed is an error.
-func DecodeDigest(p []byte) (*Digest, int, error) {
-	if len(p) < 8 {
-		return nil, 0, fmt.Errorf("sketch: digest header truncated (%d bytes)", len(p))
-	}
-	if p[0] != digestMagic0 || p[1] != digestMagic1 {
-		return nil, 0, fmt.Errorf("sketch: bad digest magic %q", p[:2])
-	}
-	blockLen := int(binary.BigEndian.Uint32(p[4:8]))
-	if blockLen < 8 || blockLen > len(p) {
-		return nil, 0, fmt.Errorf("sketch: digest block length %d out of range (payload %d)", blockLen, len(p))
-	}
-	if p[2] != digestVersion {
-		// Version-tolerant: skip the whole block.
-		return nil, blockLen, nil
-	}
-	body := p[8:blockLen]
+// DecodeDigest parses a digest body. The body must be exact: anything
+// malformed, truncated or trailing is an error.
+func DecodeDigest(body []byte) (*Digest, error) {
 	const fixed = 4 + 8 + 8 + 8 + 8 + 2
 	if len(body) < fixed {
-		return nil, 0, fmt.Errorf("sketch: digest body truncated (%d bytes)", len(body))
+		return nil, fmt.Errorf("sketch: digest body truncated (%d bytes)", len(body))
 	}
 	d := &Digest{
 		MonitorID: int(binary.BigEndian.Uint32(body[0:4])),
@@ -131,23 +94,23 @@ func DecodeDigest(p []byte) (*Digest, int, error) {
 	}
 	regs := int(binary.BigEndian.Uint16(body[36:38]))
 	if regs != hllRegisters {
-		return nil, 0, fmt.Errorf("sketch: digest v1 carries %d hll registers, got %d", hllRegisters, regs)
+		return nil, fmt.Errorf("sketch: a digest carries %d hll registers, got %d", hllRegisters, regs)
 	}
 	body = body[fixed:]
 	flows, err := decodeHLL(body)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	d.Flows = flows
 	body = body[hllRegisters:]
 	for i := 0; i < 2; i++ {
 		if len(body) < 1 {
-			return nil, 0, fmt.Errorf("sketch: digest heavy-hitter list %d truncated", i)
+			return nil, fmt.Errorf("sketch: digest heavy-hitter list %d truncated", i)
 		}
 		n := int(body[0])
 		body = body[1:]
 		if len(body) < n*12 {
-			return nil, 0, fmt.Errorf("sketch: digest heavy-hitter entries truncated (have %d, need %d)", len(body), n*12)
+			return nil, fmt.Errorf("sketch: digest heavy-hitter entries truncated (have %d, need %d)", len(body), n*12)
 		}
 		hh := make([]HeavyHitter, n)
 		for j := range hh {
@@ -162,7 +125,7 @@ func DecodeDigest(p []byte) (*Digest, int, error) {
 		}
 	}
 	if len(body) != 0 {
-		return nil, 0, fmt.Errorf("sketch: %d trailing bytes inside digest block", len(body))
+		return nil, fmt.Errorf("sketch: %d trailing bytes after digest", len(body))
 	}
-	return d, blockLen, nil
+	return d, nil
 }

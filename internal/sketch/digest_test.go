@@ -27,16 +27,9 @@ func sampleDigest() *Digest {
 
 func TestDigestWireRoundTrip(t *testing.T) {
 	d := sampleDigest()
-	wire := d.AppendWire(nil)
-	if !IsDigest(wire) {
-		t.Fatal("IsDigest must recognize an encoded digest")
-	}
-	got, n, err := DecodeDigest(wire)
+	got, err := DecodeDigest(d.AppendWire(nil))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n != len(wire) {
-		t.Fatalf("consumed %d of %d bytes", n, len(wire))
 	}
 	if got.MonitorID != d.MonitorID || got.Epoch != d.Epoch ||
 		got.Offered != d.Offered || got.Shed != d.Shed || got.Kept != d.Kept {
@@ -53,77 +46,39 @@ func TestDigestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// The digest must decode from the front of a longer payload (it sits
-// before the trace trailer) and report its exact block length.
-func TestDigestDecodePrefix(t *testing.T) {
-	wire := sampleDigest().AppendWire(nil)
-	blockLen := len(wire)
-	wire = append(wire, []byte("trailing trace trailer bytes")...)
-	got, n, err := DecodeDigest(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == nil || n != blockLen {
-		t.Fatalf("consumed %d, want block length %d", n, blockLen)
-	}
-}
-
-// Unknown versions skip the whole block without error so old readers
-// survive new senders.
-func TestDigestUnknownVersionSkips(t *testing.T) {
-	wire := sampleDigest().AppendWire(nil)
-	wire[2] = 99
-	got, n, err := DecodeDigest(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != nil {
-		t.Fatal("unknown version must yield a nil digest")
-	}
-	if n != len(wire) {
-		t.Fatalf("unknown version consumed %d of %d bytes", n, len(wire))
-	}
-}
-
+// The digest is a record body: the envelope delimits it, so every
+// truncation, a trailing byte, and a wrong register count are errors.
 func TestDigestDecodeRejectsCorruption(t *testing.T) {
 	wire := sampleDigest().AppendWire(nil)
 	for cut := 0; cut < len(wire); cut++ {
-		if _, _, err := DecodeDigest(wire[:cut]); err == nil {
+		if _, err := DecodeDigest(wire[:cut]); err == nil {
 			t.Fatalf("truncation at %d must fail", cut)
 		}
 	}
-	bad := bytes.Clone(wire)
-	bad[0] = 'X'
-	if _, _, err := DecodeDigest(bad); err == nil {
-		t.Fatal("bad magic must fail")
+	if _, err := DecodeDigest(append(bytes.Clone(wire), 0)); err == nil {
+		t.Fatal("trailing byte must fail")
 	}
-	bad = bytes.Clone(wire)
-	bad[7] = 0xFF // block length beyond payload
-	if _, _, err := DecodeDigest(bad); err == nil {
-		t.Fatal("oversized block length must fail")
+	bad := bytes.Clone(wire)
+	bad[37]++ // register count
+	if _, err := DecodeDigest(bad); err == nil {
+		t.Fatal("wrong register count must fail")
 	}
 }
 
-// FuzzDecodeDigest shakes the decoder with arbitrary bytes; it must
-// never panic, and every accepted digest must re-encode decodable.
+// FuzzDecodeDigest shakes the body decoder with arbitrary bytes; it
+// must never panic, and every accepted body must re-encode to itself.
 func FuzzDecodeDigest(f *testing.F) {
 	f.Add(sampleDigest().AppendWire(nil))
 	f.Add((&Digest{}).AppendWire(nil))
 	short := sampleDigest().AppendWire(nil)
 	f.Add(short[:9])
 	f.Fuzz(func(t *testing.T, p []byte) {
-		d, n, err := DecodeDigest(p)
+		d, err := DecodeDigest(p)
 		if err != nil {
 			return
 		}
-		if n < 8 || n > len(p) {
-			t.Fatalf("consumed %d of %d bytes", n, len(p))
-		}
-		if d == nil {
-			return // version skip
-		}
-		if _, _, err := DecodeDigest(d.AppendWire(nil)); err != nil {
-			t.Fatalf("re-encode of accepted digest failed: %v", err)
+		if re := d.AppendWire(nil); !bytes.Equal(re, p) {
+			t.Fatalf("accepted digest did not round-trip:\n in  %x\n out %x", p, re)
 		}
 	})
 }

@@ -136,37 +136,6 @@ func Unmarshal(data []byte) (*Summary, error) {
 	return s, nil
 }
 
-// EncodedLen computes how many leading bytes of data one encoded
-// summary occupies, from the header fields alone — without decoding the
-// body. The transport uses it to split a MsgSummary payload into the
-// summary proper and an optional trailing trace-context block
-// (internal/trace): the summary codec itself stays strict about
-// trailing bytes, so the split must happen above it.
-func EncodedLen(data []byte) (int, error) {
-	if len(data) < codecHeaderSize {
-		return 0, fmt.Errorf("summary: truncated header: %d bytes", len(data))
-	}
-	kind := Kind(data[0])
-	if kind != KindCombined && kind != KindSplit {
-		return 0, fmt.Errorf("summary: unknown kind byte %d", data[0])
-	}
-	rank := int(binary.BigEndian.Uint16(data[17:]))
-	k := int(binary.BigEndian.Uint16(data[19:]))
-	w := int(binary.BigEndian.Uint16(data[21:]))
-	n := codecHeaderSize + 4*k + elementSize*k*w
-	if kind == KindSplit {
-		if len(data) < n+2 {
-			return 0, fmt.Errorf("summary: truncated split block")
-		}
-		p := int(binary.BigEndian.Uint16(data[n:]))
-		n += 2 + elementSize*rank + elementSize*p*rank
-	}
-	if len(data) < n {
-		return 0, fmt.Errorf("summary: truncated body: have %d, need %d", len(data), n)
-	}
-	return n, nil
-}
-
 // elementSize is the wire size of one summary element (float32).
 const elementSize = 4
 

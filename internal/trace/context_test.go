@@ -54,16 +54,7 @@ func TestContextAppendsAfterPayload(t *testing.T) {
 		t.Fatal("AppendWire did not preserve the payload prefix")
 	}
 	if _, err := DecodeContext(wire[len(payload):]); err != nil {
-		t.Fatalf("trailer after payload did not decode: %v", err)
-	}
-}
-
-func TestDecodeContextUnknownVersionIgnored(t *testing.T) {
-	wire := testContext().AppendWire(nil)
-	wire[2] = 99 // future version: an old peer must skip, not fail
-	ctx, err := DecodeContext(wire)
-	if err != nil || ctx != nil {
-		t.Fatalf("unknown version = (%+v, %v), want (nil, nil)", ctx, err)
+		t.Fatalf("body after a payload prefix did not decode: %v", err)
 	}
 }
 
@@ -74,7 +65,6 @@ func TestDecodeContextErrors(t *testing.T) {
 		mut  func([]byte) []byte
 	}{
 		{"short header", func(b []byte) []byte { return b[:ctxHeaderSize-1] }},
-		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }},
 		{"truncated spans", func(b []byte) []byte { return b[:len(b)-1] }},
 		{"trailing garbage", func(b []byte) []byte { return append(b, 0) }},
 		{"nspans overflow", func(b []byte) []byte {
@@ -98,25 +88,22 @@ func TestDecodeContextEmptySpans(t *testing.T) {
 	}
 }
 
-// FuzzDecodeContext drives the wire decoder with arbitrary bytes. Two
-// invariants: the decoder never panics, and any accepted version-1
-// block re-encodes to the input (modulo the reserved flags byte, which
-// decode tolerates but encode always writes as 0) — every other wire
-// field is preserved in the struct, so decode∘encode is the identity.
+// FuzzDecodeContext drives the body decoder with arbitrary bytes. Two
+// invariants: the decoder never panics, and any accepted body
+// re-encodes to the input — every wire field is preserved in the
+// struct, so decode∘encode is the identity.
 func FuzzDecodeContext(f *testing.F) {
 	f.Add(testContext().AppendWire(nil))
 	f.Add((&Context{MonitorID: 1, SentUnixNano: 5}).AppendWire(nil))
 	f.Add([]byte{})
-	f.Add([]byte{'J', 'T', 1})
+	f.Add([]byte{0, 0, 0, 7, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ctx, err := DecodeContext(data)
-		if err != nil || ctx == nil {
+		if err != nil {
 			return
 		}
-		want := append([]byte(nil), data...)
-		want[3] = 0 // reserved flags byte: not round-tripped
-		if re := ctx.AppendWire(nil); !bytes.Equal(re, want) {
-			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", want, re)
+		if re := ctx.AppendWire(nil); !bytes.Equal(re, data) {
+			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", data, re)
 		}
 	})
 }

@@ -9,8 +9,8 @@
 // which monitor was the straggler, and how long did that alert take
 // from packet capture to delivery". Monitor-side spans are staged
 // per monitor and either adopted directly (in-process pipeline) or
-// shipped to the controller as a compact trace-context block appended
-// to the MsgSummary payload (see context.go); the controller merges
+// shipped to the controller as a compact trace-context record on the
+// frame that ends each poll (see context.go); the controller merges
 // them with its own spans, computes the critical path, and derives the
 // end-to-end detection latency per alert (jaal_alert_latency_seconds).
 //

@@ -37,32 +37,27 @@ func FuzzReadFrame(f *testing.F) {
 	seedFrame(f, MsgFinerRequest, EncodeFinerRequest(6, 400))
 	seedFrame(f, MsgHello, EncodeHello(12))
 	seedFrame(f, MsgAlert, []byte("ALERT syn_flood sid=10002"))
-	// A summary frame carrying a trace-context trailer: with tracing on,
-	// monitors append the block after the summary bytes (see
-	// internal/trace.Context), so framed payloads with a "JT" trailer
-	// are part of the production input space.
-	tctx := trace.Context{MonitorID: 2, SentUnixNano: 1_000, Spans: []trace.SpanRecord{
-		{Stage: trace.StageCapture, Seq: 7, Start: 500, Dur: 50},
-	}}
-	seedFrame(f, MsgSummary, tctx.AppendWire([]byte("summary-bytes")))
-	// Summary frames carrying a sketch-digest trailer ("JS" block, see
-	// internal/sketch.Digest): monitors running the sketch pass append
-	// it between the summary bytes and the trace context, so both
-	// trailer orders — digest alone and digest followed by trace — are
-	// production frames.
+	// Decline frames carrying extension records, as monitors send them
+	// with the sketch pass or tracing on: a digest record, a trace
+	// record, both, and records a receiver must skip by length (an
+	// unknown tag, an unknown version).
 	dg := sketch.Digest{
 		MonitorID: 2, Epoch: 9, Offered: 20000, Shed: 12000, Kept: 8000,
 		TopDst: []sketch.HeavyHitter{{Key: 0x0A00002A, Count: 9000}},
 		TopSrc: []sketch.HeavyHitter{{Key: 0xC0A80001, Count: 8800}},
 	}
-	seedFrame(f, MsgSummary, dg.AppendWire([]byte("summary-bytes")))
-	seedFrame(f, MsgSummary, tctx.AppendWire(dg.AppendWire([]byte("summary-bytes"))))
-	// A digest trailer with an unknown version byte (position: after the
-	// 13-byte mock summary, past the "JS" magic), which decoders must
-	// skip by block length.
-	futureDigest := dg.AppendWire([]byte("summary-bytes"))
-	futureDigest[13+2] = 0x7f
-	seedFrame(f, MsgSummary, futureDigest)
+	tctx := trace.Context{MonitorID: 2, SentUnixNano: 1_000, Spans: []trace.SpanRecord{
+		{Stage: trace.StageCapture, Seq: 7, Start: 500, Dur: 50},
+	}}
+	digestExt := Ext{Tag: ExtDigest, Version: ExtVersion, Body: dg.AppendWire(nil)}
+	traceExt := Ext{Tag: ExtTrace, Version: ExtVersion, Body: tctx.AppendWire(nil)}
+	seedFrame(f, MsgSummaryDecline, EncodeSummaryDecline(2, 9, 0, digestExt))
+	seedFrame(f, MsgSummaryDecline, EncodeSummaryDecline(2, 9, 0, traceExt))
+	seedFrame(f, MsgSummaryDecline, EncodeSummaryDecline(2, 9, 40, digestExt, traceExt))
+	seedFrame(f, MsgSummaryDecline, EncodeSummaryDecline(2, 9, 0,
+		Ext{Tag: 0xEE, Version: ExtVersion, Body: []byte("unknown")}, traceExt))
+	seedFrame(f, MsgSummaryDecline, EncodeSummaryDecline(2, 9, 0,
+		Ext{Tag: ExtDigest, Version: 0x7f, Body: []byte("future")}, digestExt))
 	// A header that promises far more than it delivers.
 	f.Add([]byte{0x00, 0x10, 0x00, 0x00, byte(MsgSummary), 1, 2, 3})
 	// A header past MaxFrameSize.
@@ -136,6 +131,8 @@ func FuzzDecodeSummaryDecline(f *testing.F) {
 	f.Add(EncodeSummaryDecline(0, 0, 0))
 	f.Add(EncodeSummaryDecline(7, 1<<33, 599))
 	f.Add([]byte{1, 2, 3, 4, 5})
+	f.Add(EncodeSummaryDecline(7, 1, 0, Ext{Tag: ExtDigest, Version: ExtVersion, Body: []byte{1, 2}},
+		Ext{Tag: 0xEE, Version: 3}))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		id, epoch, pending, err := DecodeSummaryDecline(p)
 		if err != nil {
@@ -144,8 +141,38 @@ func FuzzDecodeSummaryDecline(f *testing.F) {
 		if id < 0 || pending < 0 {
 			t.Fatalf("negative fields from uint32s: id=%d pending=%d", id, pending)
 		}
-		if got := EncodeSummaryDecline(id, epoch, pending); !bytes.Equal(got, p) {
+		exts, err := DeclineExts(p)
+		if err != nil {
+			t.Fatalf("decline accepted with a block the walker rejects: %v", err)
+		}
+		if got := EncodeSummaryDecline(id, epoch, pending, exts...); !bytes.Equal(got, p) {
 			t.Fatalf("summary decline did not round-trip: %x vs %x", got, p)
+		}
+	})
+}
+
+// FuzzDeclineExts drives the extension-block walker: it must never
+// panic, must agree with DecodeSummaryDecline on what is well formed,
+// and every accepted block must account for every byte after the fixed
+// fields.
+func FuzzDeclineExts(f *testing.F) {
+	f.Add(EncodeSummaryDecline(1, 2, 3))
+	f.Add(EncodeSummaryDecline(1, 2, 3, Ext{Tag: ExtTrace, Version: ExtVersion, Body: []byte("spans")}))
+	f.Add(append(EncodeSummaryDecline(1, 2, 3), byte(ExtDigest), ExtVersion, 0, 0, 0, 9, 1))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		exts, err := DeclineExts(p)
+		if _, _, _, derr := DecodeSummaryDecline(p); (err == nil) != (derr == nil) {
+			t.Fatalf("walker error %v, decline error %v: they must agree", err, derr)
+		}
+		if err != nil {
+			return
+		}
+		n := declineSize
+		for _, x := range exts {
+			n += extHeaderSize + len(x.Body)
+		}
+		if n != len(p) {
+			t.Fatalf("records cover %d of %d bytes", n, len(p))
 		}
 	})
 }

@@ -32,11 +32,13 @@ const (
 	MsgLoadReport MsgType = 2
 	// MsgSummaryRequest (controller→monitor): uint64 epoch.
 	MsgSummaryRequest MsgType = 3
-	// MsgSummary (monitor→controller): summary.Marshal payload.
+	// MsgSummary (monitor→controller): summary.Marshal payload alone.
 	MsgSummary MsgType = 4
 	// MsgSummaryDecline (monitor→controller): uint32 monitorID, uint64
-	// epoch, uint32 pending — sent when the buffer holds fewer than
-	// n_min packets (§5.1).
+	// epoch, uint32 pending, then an optional extension block (see
+	// Ext). It ends every summary poll, alone when the buffer holds
+	// fewer than n_min packets (§5.1), and carries whatever the monitor
+	// ships beside its summaries.
 	MsgSummaryDecline MsgType = 5
 	// MsgRawRequest (controller→monitor): uint64 epoch, uint32 centroid.
 	MsgRawRequest MsgType = 6
@@ -188,23 +190,91 @@ func DecodeSummaryRequest(p []byte) (epoch uint64, err error) {
 	return binary.BigEndian.Uint64(p), nil
 }
 
-// EncodeSummaryDecline builds a MsgSummaryDecline payload.
-func EncodeSummaryDecline(monitorID int, epoch uint64, pending int) []byte {
-	buf := make([]byte, 16)
-	binary.BigEndian.PutUint32(buf[0:], uint32(monitorID))
-	binary.BigEndian.PutUint64(buf[4:], epoch)
-	binary.BigEndian.PutUint32(buf[12:], uint32(pending))
+// ExtTag names the kind of an extension record. Each kind's body codec
+// lives with its type.
+type ExtTag uint8
+
+// Extension record kinds.
+const (
+	// ExtDigest carries a sketch.Digest (Digest.AppendWire).
+	ExtDigest ExtTag = 1
+	// ExtTrace carries a trace.Context (Context.AppendWire).
+	ExtTrace ExtTag = 2
+)
+
+// ExtVersion is the record version this build writes. A receiver skips
+// a record whose tag or version it does not know, by its length.
+const ExtVersion = 1
+
+// Ext is one record of a decline frame's extension block. On the wire
+// it is byte tag, byte version, uint32 body length, then the body; the
+// block is the records back to back up to the end of the payload, and
+// absent when there are none.
+type Ext struct {
+	Tag     ExtTag
+	Version uint8
+	Body    []byte
+}
+
+const (
+	// declineSize is the fixed part of a MsgSummaryDecline payload.
+	declineSize = 16
+	// extHeaderSize is one record's tag, version and body length.
+	extHeaderSize = 1 + 1 + 4
+)
+
+// EncodeSummaryDecline builds a MsgSummaryDecline payload: the fixed
+// fields, then the records in order.
+func EncodeSummaryDecline(monitorID int, epoch uint64, pending int, exts ...Ext) []byte {
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, declineSize), uint32(monitorID))
+	buf = binary.BigEndian.AppendUint64(buf, epoch)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(pending))
+	for _, x := range exts {
+		buf = append(buf, byte(x.Tag), x.Version)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(x.Body)))
+		buf = append(buf, x.Body...)
+	}
 	return buf
 }
 
-// DecodeSummaryDecline parses a MsgSummaryDecline payload.
+// DecodeSummaryDecline parses a MsgSummaryDecline payload's fixed
+// fields. The extension block after them must be well formed;
+// DeclineExts returns its records.
 func DecodeSummaryDecline(p []byte) (monitorID int, epoch uint64, pending int, err error) {
-	if len(p) != 16 {
-		return 0, 0, 0, fmt.Errorf("wire: summary decline of %d bytes, want 16", len(p))
+	if len(p) < declineSize {
+		return 0, 0, 0, fmt.Errorf("wire: summary decline of %d bytes, want >= %d", len(p), declineSize)
 	}
-	return int(binary.BigEndian.Uint32(p[0:])),
-		binary.BigEndian.Uint64(p[4:]),
-		int(binary.BigEndian.Uint32(p[12:])), nil
+	monitorID = int(binary.BigEndian.Uint32(p[0:]))
+	epoch = binary.BigEndian.Uint64(p[4:])
+	pending = int(binary.BigEndian.Uint32(p[12:]))
+	if _, err := DeclineExts(p); err != nil {
+		return 0, 0, 0, err
+	}
+	return monitorID, epoch, pending, nil
+}
+
+// DeclineExts walks the extension block of a MsgSummaryDecline payload
+// and returns every record, known or not, in order; the bodies alias p.
+// A record whose length runs past the payload is an error.
+func DeclineExts(p []byte) ([]Ext, error) {
+	if len(p) < declineSize {
+		return nil, fmt.Errorf("wire: summary decline of %d bytes, want >= %d", len(p), declineSize)
+	}
+	var exts []Ext
+	for rest := p[declineSize:]; len(rest) > 0; {
+		if len(rest) < extHeaderSize {
+			return nil, fmt.Errorf("wire: extension record header truncated (%d bytes)", len(rest))
+		}
+		x := Ext{Tag: ExtTag(rest[0]), Version: rest[1]}
+		n := binary.BigEndian.Uint32(rest[2:])
+		if uint64(n) > uint64(len(rest)-extHeaderSize) {
+			return nil, fmt.Errorf("wire: extension record of %d bytes, %d left", n, len(rest)-extHeaderSize)
+		}
+		end := extHeaderSize + int(n)
+		x.Body, rest = rest[extHeaderSize:end], rest[end:]
+		exts = append(exts, x)
+	}
+	return exts, nil
 }
 
 // EncodeRawRequest builds a MsgRawRequest payload.

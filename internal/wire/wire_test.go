@@ -98,12 +98,79 @@ func TestSummaryRequestRoundTrip(t *testing.T) {
 }
 
 func TestSummaryDeclineRoundTrip(t *testing.T) {
-	id, e, pending, err := DecodeSummaryDecline(EncodeSummaryDecline(9, 33, 512))
+	plain := EncodeSummaryDecline(9, 33, 512)
+	if len(plain) != declineSize {
+		t.Fatalf("decline without records is %d bytes, want %d", len(plain), declineSize)
+	}
+	id, e, pending, err := DecodeSummaryDecline(plain)
 	if err != nil || id != 9 || e != 33 || pending != 512 {
 		t.Fatalf("round trip: %d %d %d %v", id, e, pending, err)
 	}
+	if exts, err := DeclineExts(plain); err != nil || exts != nil {
+		t.Fatalf("plain decline has records %v (err %v)", exts, err)
+	}
 	if _, _, _, err := DecodeSummaryDecline([]byte{1, 2}); err == nil {
 		t.Fatal("short decline must error")
+	}
+
+	want := []Ext{
+		{Tag: ExtDigest, Version: ExtVersion, Body: []byte("digest")},
+		{Tag: ExtTrace, Version: ExtVersion, Body: nil},
+	}
+	p := EncodeSummaryDecline(9, 33, 512, want...)
+	id, e, pending, err = DecodeSummaryDecline(p)
+	if err != nil || id != 9 || e != 33 || pending != 512 {
+		t.Fatalf("round trip with records: %d %d %d %v", id, e, pending, err)
+	}
+	got, err := DeclineExts(p)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("records = %v (err %v), want %v", got, err, want)
+	}
+	for i := range want {
+		if got[i].Tag != want[i].Tag || got[i].Version != want[i].Version || !bytes.Equal(got[i].Body, want[i].Body) {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// A record of unknown tag or version is delimited like any other, so a
+// reader that skips it by length finds the next record intact.
+func TestDeclineExtsSkipUnknown(t *testing.T) {
+	want := []Ext{
+		{Tag: ExtDigest, Version: 99, Body: []byte("a future digest layout")},
+		{Tag: 0xEE, Version: ExtVersion, Body: []byte("a record this build has no tag for")},
+		{Tag: ExtTrace, Version: 99, Body: []byte{1}},
+		{Tag: ExtTrace, Version: ExtVersion, Body: []byte("trace")},
+	}
+	p := EncodeSummaryDecline(1, 2, 3, want...)
+	if _, _, _, err := DecodeSummaryDecline(p); err != nil {
+		t.Fatalf("unknown records must not fail the decline: %v", err)
+	}
+	got, err := DeclineExts(p)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("records = %v (err %v), want %d", got, err, len(want))
+	}
+	last := got[len(got)-1]
+	if last.Tag != ExtTrace || last.Version != ExtVersion || string(last.Body) != "trace" {
+		t.Fatalf("record after unknown ones = %+v", last)
+	}
+}
+
+func TestDeclineExtsRejectMalformed(t *testing.T) {
+	good := EncodeSummaryDecline(1, 2, 3, Ext{Tag: ExtDigest, Version: ExtVersion, Body: []byte("body")})
+	cases := map[string][]byte{
+		"truncated record header": good[:declineSize+extHeaderSize-1],
+		"truncated body":          good[:len(good)-1],
+		"trailing byte":           append(bytes.Clone(good), 0),
+		"length past the payload": append(EncodeSummaryDecline(1, 2, 3), 1, 1, 0xFF, 0xFF, 0xFF, 0xFF),
+	}
+	for name, p := range cases {
+		if _, err := DeclineExts(p); err == nil {
+			t.Errorf("%s: DeclineExts accepted %x", name, p)
+		}
+		if _, _, _, err := DecodeSummaryDecline(p); err == nil {
+			t.Errorf("%s: DecodeSummaryDecline accepted %x", name, p)
+		}
 	}
 }
 
